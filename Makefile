@@ -50,14 +50,20 @@ test-emergency:
 
 # Power suite: the delivery tree and breaker curves, the budget
 # arbiter invariants (conservation, monotonicity), the vectorized
-# rollup equivalence, and the oversubscription-crisis acceptance
-# contract (naive trips the row breaker, arbitrated survives with zero
-# trips; signatures bit-identical) over the REPRO_CHAOS_SEEDS matrix.
+# rollup equivalence, priority-aware capping against the tree's
+# breakers, the power-trip injector and scenario, and the
+# oversubscription-crisis acceptance contract (naive trips the row
+# breaker, arbitrated survives with zero trips; signatures
+# bit-identical) over the REPRO_CHAOS_SEEDS matrix.
 test-power:
 	REPRO_CHAOS_SEEDS="$(REPRO_CHAOS_SEEDS)" \
 		REPRO_TEST_TIMEOUT_S=$(CHAOS_TIMEOUT) \
 		PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/test_power_tree.py \
-		tests/test_power_arbiter.py tests/test_oversubscription_crisis.py -q
+		tests/test_power_arbiter.py tests/test_power_capping.py \
+		tests/test_oversubscription_crisis.py -q
+	REPRO_TEST_TIMEOUT_S=$(CHAOS_TIMEOUT) \
+		PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/test_faults.py \
+		-k power_trip -q
 
 # Live-service suite: the overload-control stack unit tests, the
 # service WAL SIGKILL/resume chaos test, the in-process HTTP load test

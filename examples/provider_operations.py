@@ -20,14 +20,14 @@ from repro.cluster import (
     GREEN_SKU,
     Host,
     MigrationManager,
-    PowerCapGovernor,
     RED_SKU,
     RedBandSession,
     VMInstance,
     VMSpec,
-    build_two_rack_row,
+    cap_to_delivery_limits,
     overclock_stopgap_plan,
 )
+from repro.power import DeliveryLevel, DeliveryNode, PowerDeliveryHierarchy
 from repro.reliability import (
     OverclockGuard,
     StabilityMonitor,
@@ -51,18 +51,23 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 1. Power delivery: a row breaker oversubscribed by overclocking.
     # ------------------------------------------------------------------
-    tree = build_two_rack_row(
-        hosts_per_rack=1,
-        make_host=loaded_host,
-        rack_limit_watts=2000.0,
-        row_limit_watts=450.0,
-    )
+    # Two racks of one host each under a 450 W row; rack 0 is low
+    # priority (shed first).
+    nodes = [DeliveryNode("row", DeliveryLevel.ROW, 450.0)]
+    hosts = {}
+    for rack in range(2):
+        nodes.append(DeliveryNode(f"rack-{rack}", DeliveryLevel.RACK_PDU, 450.0, parent="row"))
+        nodes.append(DeliveryNode(f"r{rack}-h0", DeliveryLevel.HOST, 400.0, parent=f"rack-{rack}"))
+        hosts[f"r{rack}-h0"] = (loaded_host(f"r{rack}-h0"), 0 if rack == 0 else 10)
+    hierarchy = PowerDeliveryHierarchy(nodes)
+    provisioned = sum(host.peak_power_watts() for host, _ in hosts.values())
     print("Power delivery (row limit 450 W):")
-    print(f"  provisioned peak : {tree.root.provisioned_watts():.0f} W "
-          f"({tree.root.oversubscription_ratio():.2f}x oversubscribed)")
-    breaches = tree.find_breaches(utilization=1.0)
-    print(f"  breaches at full load: {[b.node_name for b in breaches]}")
-    results = tree.enforce(PowerCapGovernor(), utilization=1.0)
+    print(f"  provisioned peak : {provisioned:.0f} W "
+          f"({provisioned / hierarchy.root.rated_watts:.2f}x oversubscribed)")
+    draws = hierarchy.rollup({name: host.power_watts(1.0) for name, (host, _) in hosts.items()})
+    breaches = [name for name, draw in draws.items() if draw > hierarchy.nodes[name].rated_watts]
+    print(f"  breaches at full load: {breaches}")
+    results = cap_to_delivery_limits(hierarchy, hosts, utilization=1.0)
     for result in results:
         action = "capped" if result.capped else "kept"
         print(f"  {result.host_id}: {result.original_core_ghz:.1f} -> "

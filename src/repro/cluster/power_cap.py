@@ -5,17 +5,21 @@ limits; capping mechanisms respond by stepping CPU frequency down until
 the draw fits. :class:`PowerCapGovernor` implements that loop over a
 host's frequency bins, optionally with workload-priority awareness
 (priority-based capping per Dynamo/Flex: low-priority hosts shed power
-first).
+first). :func:`cap_to_delivery_limits` runs that loop against every
+breaker of a :class:`~repro.power.tree.PowerDeliveryHierarchy`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..errors import ConfigurationError, PowerBudgetExceeded
 from ..silicon.configs import FrequencyConfig
 from .host import Host
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..power.tree import PowerDeliveryHierarchy
 
 
 def _downbinned(config: FrequencyConfig, core_ghz: float) -> FrequencyConfig:
@@ -170,4 +174,49 @@ class PowerCapGovernor:
         return results
 
 
-__all__ = ["PowerCapGovernor", "CapResult"]
+def cap_to_delivery_limits(
+    hierarchy: "PowerDeliveryHierarchy",
+    hosts: Mapping[str, tuple[Host, int]],
+    utilization: float = 1.0,
+) -> list[CapResult]:
+    """Resolve every breach of ``hierarchy`` with priority-aware capping.
+
+    ``hosts`` maps each HOST-level node name to its live (host,
+    priority). Nodes are visited children before parents — capping a
+    rack may already fix the row — and each breached node's hosts go
+    through :meth:`PowerCapGovernor.enforce_priority_aware`, so
+    lower-priority hosts shed frequency first (the paper's recommended
+    mitigation, after Dynamo/Flex). Raises :class:`PowerBudgetExceeded`
+    when a breach survives even with every host at its frequency floor.
+    """
+    if set(hosts) != set(hierarchy.hosts):
+        raise ConfigurationError("capping needs exactly one live host per HOST node")
+    governor = PowerCapGovernor()
+
+    def draws() -> dict[str, float]:
+        return hierarchy.rollup(
+            {name: host.power_watts(utilization) for name, (host, _) in hosts.items()}
+        )
+
+    results: list[CapResult] = []
+    deepest_first = sorted(
+        hierarchy.nodes, key=lambda name: len(hierarchy.ancestors(name)), reverse=True
+    )
+    for name in deepest_first:
+        rated = hierarchy.nodes[name].rated_watts
+        if draws()[name] <= rated:
+            continue
+        results.extend(
+            governor.enforce_priority_aware(
+                [hosts[host] for host in hierarchy.subtree_hosts(name)], rated, utilization
+            )
+        )
+    remaining = [
+        name for name, draw in draws().items() if draw > hierarchy.nodes[name].rated_watts
+    ]
+    if remaining:
+        raise PowerBudgetExceeded(f"breakers still over limit after capping: {remaining}")
+    return results
+
+
+__all__ = ["PowerCapGovernor", "CapResult", "cap_to_delivery_limits"]

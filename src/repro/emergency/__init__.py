@@ -15,6 +15,7 @@ from .ladder import (
     LadderConfig,
     StageActions,
     StagedLadder,
+    max_stage,
     worst_margin_c,
 )
 
@@ -26,5 +27,6 @@ __all__ = [
     "LadderConfig",
     "StageActions",
     "StagedLadder",
+    "max_stage",
     "worst_margin_c",
 ]

@@ -43,13 +43,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from ..errors import ConfigurationError
 from ..telemetry.counters import EmergencyCounters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..faults.timeline import FaultTimeline
+    from ..faults.timeline import FaultEvent, FaultTimeline
     from ..reliability.safety import SafetySupervisor
 
 #: Timeline kind recorded when the thermal ladder steps up one rung.
@@ -257,6 +257,22 @@ class StagedLadder:
         return self.stage
 
     # ------------------------------------------------------------------
+    # Crash safety
+    # ------------------------------------------------------------------
+    def snapshot(self) -> dict:
+        """The stage and relaxation dwell as plain picklable values.
+
+        The clean streak is load-bearing: dropping it would let a
+        resumed ladder relax earlier than an uninterrupted one.
+        """
+        return {"stage": int(self.stage), "clean_streak": self._clean_streak}
+
+    def restore(self, state: Mapping[str, int]) -> None:
+        """Rewind to a :meth:`snapshot` (extra keys are ignored)."""
+        self.stage = self.stages(state["stage"])
+        self._clean_streak = int(state["clean_streak"])
+
+    # ------------------------------------------------------------------
     # Subclass hooks
     # ------------------------------------------------------------------
     def _on_escalate(self, stage: IntEnum) -> None:
@@ -300,6 +316,19 @@ class StagedLadder:
                 released.name.lower(),
                 f"{self.margin_format(margin)} {outcome}",
             )
+
+
+def max_stage(timeline: Iterable["FaultEvent"], stages: type[IntEnum], escalate_kind: str) -> int:
+    """Deepest rung a ladder reached, read back from its timeline.
+
+    Counts ``escalate_kind`` events whose target names a member of
+    ``stages``; 0 means the ladder never escalated.
+    """
+    by_name = {stage.name.lower(): int(stage) for stage in stages}
+    return max(
+        (by_name.get(event.target, 0) for event in timeline if event.kind == escalate_kind),
+        default=0,
+    )
 
 
 class EmergencyCoordinator(StagedLadder):
@@ -371,5 +400,6 @@ __all__ = [
     "StageActions",
     "StagedLadder",
     "EmergencyCoordinator",
+    "max_stage",
     "worst_margin_c",
 ]

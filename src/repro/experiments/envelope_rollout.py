@@ -221,16 +221,14 @@ class RolloutRunResult:
 
 
 def _restore_power(power: PowerEmergencyCoordinator, state: dict) -> None:
-    power.stage = PowerEmergencyStage(state["stage"])
-    power._clean_streak = int(state["clean_streak"])
+    power.restore(state)
     for name, value in state["counters"].items():
         setattr(power.counters, name, value)
 
 
 def _snapshot_power(power: PowerEmergencyCoordinator) -> dict:
     return {
-        "stage": int(power.stage),
-        "clean_streak": power._clean_streak,
+        **power.snapshot(),
         "counters": {
             f.name: getattr(power.counters, f.name)
             for f in fields(power.counters)

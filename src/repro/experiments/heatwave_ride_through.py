@@ -45,9 +45,11 @@ from ..control.channel import ChannelConfig
 from ..control.link import ActuationLink
 from ..control.retry import RetryPolicy
 from ..emergency.ladder import (
+    EMERGENCY_ESCALATE,
     EmergencyCoordinator,
     EmergencyStage,
     LadderConfig,
+    max_stage,
     worst_margin_c,
 )
 from ..engine.core import SweepEngine, SweepTask
@@ -430,7 +432,7 @@ def run_heatwave_mode(
         peak_tj_c=peaks["tj"],
         peak_fluid_c=peaks["fluid"],
         peak_superheat_c=peaks["superheat"],
-        max_stage=_max_stage(campaign.timeline),
+        max_stage=max_stage(campaign.timeline, EmergencyStage, EMERGENCY_ESCALATE),
         oc_restored_at_s=restored["at_s"],
         emergency_bypasses=link.counters.emergency_bypasses,
         reconcile_starved=link.counters.reconcile_starved,
@@ -440,21 +442,6 @@ def run_heatwave_mode(
         rearms=emergency_counters.rearms,
         timeline_signature=campaign.timeline.signature(),
         timeline=campaign.timeline.events,
-    )
-
-
-_STAGE_BY_NAME = {stage.name.lower(): int(stage) for stage in EmergencyStage}
-
-
-def _max_stage(timeline) -> int:
-    """Deepest ladder rung the run reached (0 = never escalated)."""
-    return max(
-        (
-            _STAGE_BY_NAME.get(event.target, 0)
-            for event in timeline
-            if event.kind == "emergency-escalate"
-        ),
-        default=0,
     )
 
 

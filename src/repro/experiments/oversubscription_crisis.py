@@ -41,12 +41,13 @@ from ..cluster.power_cap import PowerCapGovernor
 from ..cluster.vm import VMInstance, VMSpec
 from ..control.channel import ChannelConfig
 from ..control.link import ActuationLink
+from ..emergency.ladder import max_stage
 from ..engine.core import SweepEngine, SweepTask
 from ..faults.injectors import FaultCampaign, register_power_injectors
 from ..faults.plan import FaultKind, FaultPlan, FaultSpec
 from ..faults.timeline import FaultEvent
 from ..power.arbiter import PowerBudgetArbiter
-from ..power.ladder import PowerEmergencyCoordinator, PowerEmergencyStage
+from ..power.ladder import POWER_ESCALATE, PowerEmergencyCoordinator, PowerEmergencyStage
 from ..power.predictor import PeakPowerPredictor
 from ..power.tree import (
     DeliveryLevel,
@@ -535,7 +536,7 @@ def run_oversubscription_mode(
         hosts_lost=hosts_lost,
         vms_lost=len(lost_vms),
         vms_shed=stats["shed"],
-        max_stage=_max_stage(timeline),
+        max_stage=max_stage(timeline, PowerEmergencyStage, POWER_ESCALATE),
         peak_row_draw_w=stats["peak_row_draw"],
         min_headroom_fraction=stats["min_headroom"],
         oc_regranted_at_s=regrant["at_s"],
@@ -544,21 +545,6 @@ def run_oversubscription_mode(
         rearms=power_counters.rearms,
         timeline_signature=timeline.signature(),
         timeline=timeline.events,
-    )
-
-
-_STAGE_BY_NAME = {stage.name.lower(): int(stage) for stage in PowerEmergencyStage}
-
-
-def _max_stage(timeline) -> int:
-    """Deepest power-ladder rung the run reached (0 = never escalated)."""
-    return max(
-        (
-            _STAGE_BY_NAME.get(event.target, 0)
-            for event in timeline
-            if event.kind == "power-escalate"
-        ),
-        default=0,
     )
 
 

@@ -21,10 +21,10 @@ from __future__ import annotations
 import math
 from typing import Callable, Mapping
 
-from ..cluster.power_delivery import PowerNode
 from ..control.channel import LossyChannel
 from ..errors import FaultError, InjectionError
 from ..power.predictor import PeakPowerPredictor
+from ..power.tree import DeliveryNode, PowerDeliveryHierarchy
 from ..reliability.stability import DEFAULT_ERRORS_PER_CRASH, StabilityModel
 from ..sim.kernel import Simulator
 from ..sim.random import RandomStreams
@@ -289,25 +289,25 @@ class ThermalExcursionInjector(FaultInjector):
 class PowerTripInjector(FaultInjector):
     """Power-delivery trips: a breaker loses part of its rating.
 
-    ``magnitude`` is the fraction of the node's limit lost (0 < m < 1).
-    The injector derates the node in place, records any resulting
-    breach (the capping governor's cue), and restores the limit after
-    ``duration_s``.
+    ``magnitude`` is the fraction of the node's rated limit lost
+    (0 < m < 1). The injector derates the target
+    :class:`~repro.power.tree.DeliveryNode` in place, records any
+    resulting breach (the capping governor's cue) against the rollup of
+    ``draws()`` — the caller's live per-host draw map — and restores the
+    rating after ``duration_s``.
     """
 
     kind = FaultKind.POWER_TRIP
 
     def __init__(
         self,
-        nodes: Mapping[str, PowerNode],
-        utilization: float = 1.0,
-        on_trip: Callable[[PowerNode], None] | None = None,
-        on_restore: Callable[[PowerNode], None] | None = None,
+        hierarchy: PowerDeliveryHierarchy,
+        draws: Callable[[], Mapping[str, float]],
+        on_trip: Callable[[DeliveryNode], None] | None = None,
     ) -> None:
-        self.nodes = dict(nodes)
-        self.utilization = utilization
+        self.hierarchy = hierarchy
+        self.draws = draws
         self.on_trip = on_trip
-        self.on_restore = on_restore
 
     def schedule(self, campaign: FaultCampaign, index: int, spec: FaultSpec) -> None:
         if not 0.0 < spec.magnitude < 1.0:
@@ -315,38 +315,36 @@ class PowerTripInjector(FaultInjector):
                 "power trip magnitude is the fraction of the limit lost; "
                 f"need 0 < m < 1, got {spec.magnitude}"
             )
-        _lookup(self.nodes, spec.target, self.kind)  # fail fast at arm time
+        _lookup(self.hierarchy.nodes, spec.target, self.kind)  # fail fast at arm time
         delay = campaign.delay_for(index, spec)
         if delay is None:
             return
 
         def fire() -> None:
-            node = _lookup(self.nodes, spec.target, self.kind)
+            node = _lookup(self.hierarchy.nodes, spec.target, self.kind)
             now = campaign.simulator.now
-            lost = node.limit_watts * spec.magnitude
-            node.limit_watts -= lost
+            lost = node.rated_watts * spec.magnitude
+            node.rated_watts -= lost
             campaign.timeline.record(
                 now, spec.kind.value, spec.target,
-                f"-{lost:.0f}W limit={node.limit_watts:.0f}W",
+                f"-{lost:.0f}W limit={node.rated_watts:.0f}W",
             )
-            draw = node.draw_watts(self.utilization)
-            if draw > node.limit_watts:
+            draw = self.hierarchy.rollup(self.draws())[node.name]
+            if draw > node.rated_watts:
                 campaign.timeline.record(
                     now, BREAKER_BREACH, spec.target,
-                    f"draw={draw:.0f}W > limit={node.limit_watts:.0f}W",
+                    f"draw={draw:.0f}W > limit={node.rated_watts:.0f}W",
                 )
             if self.on_trip is not None:
                 self.on_trip(node)
             if spec.duration_s > 0:
 
                 def restore() -> None:
-                    node.limit_watts += lost
+                    node.rated_watts += lost
                     campaign.timeline.record(
                         campaign.simulator.now, RECOVERED, spec.target,
-                        f"+{lost:.0f}W limit={node.limit_watts:.0f}W",
+                        f"+{lost:.0f}W limit={node.rated_watts:.0f}W",
                     )
-                    if self.on_restore is not None:
-                        self.on_restore(node)
 
                 campaign.simulator.after(
                     spec.duration_s, restore, name=f"fault:power-restore:{spec.target}"

@@ -20,10 +20,11 @@ from typing import Callable, TextIO
 
 from ..cluster.host import Host
 from ..cluster.lifecycle import VMLifecycleManager
-from ..cluster.power_delivery import build_two_rack_row
+from ..cluster.power_cap import cap_to_delivery_limits
 from ..cluster.vm import VMInstance, VMSpec
 from ..errors import PowerBudgetExceeded
 from ..experiments.tables import render_table
+from ..power.tree import DeliveryLevel, DeliveryNode, PowerDeliveryHierarchy
 from ..reliability.stability import StabilityModel
 from ..sim.kernel import Simulator
 from ..thermal.tank import ImmersedLoad, small_tank_1
@@ -167,20 +168,27 @@ def _power_trip(seed: int) -> str:
         )
         return host
 
-    tree = build_two_rack_row(
-        hosts_per_rack=3,
-        make_host=make_host,
-        rack_limit_watts=700.0,
-        row_limit_watts=1400.0,
-    )
-    rack0 = next(node for node in tree.nodes if node.name == "rack-0")
+    # One row feeding two 700 W racks of three hosts; rack-0's hosts
+    # are low priority (shed first).
+    nodes = [DeliveryNode("row", DeliveryLevel.ROW, 1400.0)]
+    hosts: dict[str, tuple[Host, int]] = {}
+    for rack in range(2):
+        nodes.append(DeliveryNode(f"rack-{rack}", DeliveryLevel.RACK_PDU, 700.0, parent="row"))
+        for index in range(3):
+            name = f"r{rack}-h{index}"
+            nodes.append(DeliveryNode(name, DeliveryLevel.HOST, 350.0, parent=f"rack-{rack}"))
+            hosts[name] = (make_host(name), 0 if rack == 0 else 10)
+    hierarchy = PowerDeliveryHierarchy(nodes)
     simulator = Simulator(seed=seed)
     utilization = 0.9
     capped: list[str] = []
 
+    def draws() -> dict[str, float]:
+        return {name: host.power_watts(utilization) for name, (host, _) in hosts.items()}
+
     def on_trip(node) -> None:
         try:
-            for result in tree.enforce(utilization=utilization):
+            for result in cap_to_delivery_limits(hierarchy, hosts, utilization=utilization):
                 if result.capped:
                     capped.append(
                         f"{result.host_id}: {result.original_core_ghz:.1f} -> "
@@ -203,9 +211,7 @@ def _power_trip(seed: int) -> str:
         ),
     )
     campaign = FaultCampaign(simulator, plan)
-    campaign.register(
-        PowerTripInjector(nodes={"rack-0": rack0}, utilization=utilization, on_trip=on_trip)
-    )
+    campaign.register(PowerTripInjector(hierarchy, draws, on_trip=on_trip))
     campaign.arm()
     simulator.run(until=300.0)
 

@@ -8,10 +8,14 @@ two sales collide: every host, rack PDU, row, UPS, and substation
 carries a rated limit, an oversubscribed budget, and a breaker with an
 inverse-time trip curve.
 
-This package models the collision and the machinery that survives it:
+This package is the repo's one power stack — one delivery tree and
+one arbiter — and models the collision and the machinery that
+survives it:
 
 * :mod:`repro.power.tree` — the five-level delivery hierarchy, breaker
-  trip curves, rollups, and headroom queries;
+  trip curves, rollups, and headroom queries (priority-aware capping of
+  live hosts against it is
+  :func:`repro.cluster.power_cap.cap_to_delivery_limits`);
 * :mod:`repro.power.predictor` — per-VM peak-power prediction from
   workload-class priors and online percentile estimation;
 * :mod:`repro.power.arbiter` — the single gatekeeper clearing VM

@@ -13,12 +13,12 @@ three numbers:
 * a **breaker** with a time-over-threshold trip curve: short excursions
   above the rated limit are survivable, sustained ones are not.
 
-Unlike :class:`repro.cluster.power_delivery.PowerNode` (which holds live
-:class:`~repro.cluster.host.Host` objects and exists for small capping
-scenarios), this model is *name-keyed and scale-free*: hosts are leaf
-names with per-host draws supplied from outside, so the same tree
-drives an 8-host crisis experiment and the 100k-host vectorized rollup
-in :mod:`repro.vector.rollup`.
+The model is *name-keyed and scale-free*: hosts are leaf names with
+per-host draws supplied from outside, so the same tree drives the
+two-rack ``power-trip`` scenario, an 8-host crisis experiment and the
+100k-host vectorized rollup in :mod:`repro.vector.rollup`. Capping live
+:class:`~repro.cluster.host.Host` objects against it is
+:func:`repro.cluster.power_cap.cap_to_delivery_limits`.
 """
 
 from __future__ import annotations

@@ -601,10 +601,7 @@ class RolloutController:
             "wave_targets": self._wave_targets,
             "frozen_reasons": self._frozen_reasons,
             "operator_hold": self._operator_hold,
-            "ladder_stage": int(self.ladder.stage),
-            # The ladder's dwell streak is private but load-bearing:
-            # dropping it would let a resumed rollout relax early.
-            "ladder_clean_streak": self.ladder._clean_streak,
+            "ladder": self.ladder.snapshot(),
             "analyzer": self.analyzer.snapshot(),
             "counters": {
                 f.name: getattr(self.counters, f.name)
@@ -631,8 +628,7 @@ class RolloutController:
         self._wave_targets = tuple(state["wave_targets"])
         self._frozen_reasons = tuple(state["frozen_reasons"])
         self._operator_hold = bool(state["operator_hold"])
-        self.ladder.stage = RolloutStage(state["ladder_stage"])
-        self.ladder._clean_streak = int(state["ladder_clean_streak"])
+        self.ladder.restore(state["ladder"])
         self.analyzer.restore(state["analyzer"])
         for name, value in state["counters"].items():
             setattr(self.counters, name, value)

@@ -21,9 +21,11 @@ from repro.cluster.power_cap import PowerCapGovernor
 from repro.cluster.vm import VMInstance, VMSpec
 from repro.control.link import ActuationLink
 from repro.emergency import (
+    EMERGENCY_ESCALATE,
     EmergencyCoordinator,
     EmergencyStage,
     LadderConfig,
+    max_stage,
     worst_margin_c,
 )
 from repro.errors import ConfigurationError, TelemetryDegraded
@@ -136,6 +138,40 @@ def test_escalation_tick_never_counts_toward_relaxation():
     assert coordinator.stage is EmergencyStage.REVOKE_OVERCLOCK
     coordinator.observe(1.0, 40.0)
     assert coordinator.stage is EmergencyStage.NORMAL
+
+
+def test_snapshot_restore_keeps_the_relaxation_dwell():
+    config = LadderConfig(relax_clean_ticks=3)
+    uninterrupted, _ = _wired_coordinator(config=config)
+    interrupted, _ = _wired_coordinator(config=config)
+    # Engage revoke + cap, then two of the three clean ticks.
+    for tick, margin in enumerate((18.0, 29.0, 29.0)):
+        uninterrupted.observe(float(tick), margin)
+        interrupted.observe(float(tick), margin)
+    state = interrupted.snapshot()
+    assert state == {"stage": int(EmergencyStage.POWER_CAP), "clean_streak": 2}
+
+    resumed, _ = _wired_coordinator(config=config)
+    resumed.restore(state)
+    forgetful, _ = _wired_coordinator(config=config)
+    forgetful.restore({**state, "clean_streak": 0})
+    # The third clean tick relaxes the resumed ladder on the same tick
+    # as the uninterrupted one; dropping the streak would delay it.
+    assert uninterrupted.observe(3.0, 29.0) is EmergencyStage.REVOKE_OVERCLOCK
+    assert resumed.observe(3.0, 29.0) is EmergencyStage.REVOKE_OVERCLOCK
+    assert forgetful.observe(3.0, 29.0) is EmergencyStage.POWER_CAP
+
+
+def test_max_stage_reads_the_deepest_escalation_of_one_ladder():
+    timeline = FaultTimeline()
+    assert max_stage(timeline, EmergencyStage, EMERGENCY_ESCALATE) == 0
+    timeline.record(0.0, EMERGENCY_ESCALATE, "power_cap")
+    timeline.record(1.0, "power-escalate", "shutdown")  # another ladder's kind
+    timeline.record(2.0, EMERGENCY_ESCALATE, "revoke_overclock")
+    timeline.record(3.0, EMERGENCY_ESCALATE, "not-a-stage")
+    assert max_stage(timeline, EmergencyStage, EMERGENCY_ESCALATE) == int(
+        EmergencyStage.POWER_CAP
+    )
 
 
 def test_coordinator_mirrors_state_into_the_safety_supervisor():

@@ -18,7 +18,6 @@ import pytest
 
 from repro.cluster.host import Host
 from repro.cluster.lifecycle import VMLifecycleManager
-from repro.cluster.power_delivery import PowerNode
 from repro.cluster.vm import VMInstance, VMSpec, VMState
 from repro.errors import (
     ConfigurationError,
@@ -39,6 +38,7 @@ from repro.faults import (
     VMCrashInjector,
 )
 from repro.faults.scenarios import SCENARIOS, list_fault_catalog, run_scenarios
+from repro.power.tree import DeliveryLevel, DeliveryNode, PowerDeliveryHierarchy
 from repro.sim.kernel import Simulator
 from repro.thermal.junction import JunctionModel
 
@@ -269,7 +269,12 @@ class TestInjectors:
     def test_power_trip_derates_then_restores(self):
         host = Host("h0")
         host.place(VMInstance(vm_id="vm", spec=VMSpec(vcores=8, memory_gb=32.0)))
-        node = PowerNode(name="rack", limit_watts=1000.0, hosts=[(host, 0)])
+        hierarchy = PowerDeliveryHierarchy(
+            [
+                DeliveryNode("rack", DeliveryLevel.RACK_PDU, 1000.0),
+                DeliveryNode("h0", DeliveryLevel.HOST, 1000.0, parent="rack"),
+            ]
+        )
         plan = FaultPlan(
             seed=1,
             specs=(
@@ -284,12 +289,14 @@ class TestInjectors:
         )
         simulator = Simulator()
         campaign = FaultCampaign(simulator, plan)
-        campaign.register(PowerTripInjector(nodes={"rack": node}))
+        campaign.register(PowerTripInjector(hierarchy, lambda: {"h0": host.power_watts()}))
         campaign.arm()
+        simulator.run(until=12.0)
+        assert hierarchy.nodes["rack"].rated_watts == pytest.approx(600.0)
         simulator.run(until=30.0)
-        assert node.limit_watts == pytest.approx(1000.0)
+        assert hierarchy.nodes["rack"].rated_watts == pytest.approx(1000.0)
         kinds = [event.kind for event in campaign.timeline]
-        assert kinds[0] == "power-trip" and kinds[-1] == "recovered"
+        assert kinds == ["power-trip", "recovered"]
 
     def test_power_trip_magnitude_validated(self):
         plan = FaultPlan(
@@ -299,9 +306,10 @@ class TestInjectors:
             ),
         )
         campaign = FaultCampaign(Simulator(), plan)
-        campaign.register(
-            PowerTripInjector(nodes={"rack": PowerNode(name="rack", limit_watts=100.0)})
+        hierarchy = PowerDeliveryHierarchy(
+            [DeliveryNode("rack", DeliveryLevel.RACK_PDU, 100.0)]
         )
+        campaign.register(PowerTripInjector(hierarchy, dict))
         with pytest.raises(InjectionError):
             campaign.arm()
 
@@ -421,6 +429,18 @@ class TestScenarios:
         build = SCENARIOS[name].build
         for seed in SEEDS:
             assert build(seed) == build(seed)
+
+    def test_power_trip_scenario_outcome(self):
+        """The derated rack sheds its low-priority hosts, cheapest first."""
+        lines = [line.strip() for line in SCENARIOS["power-trip"].build(1).splitlines()]
+        capped = [line for line in lines if " GHz (" in line]
+        assert capped == [
+            "r0-h0: 3.4 -> 1.2 GHz (128 W)",
+            "r0-h1: 3.4 -> 1.6 GHz (144 W)",
+        ]
+        breaches = [line for line in lines if "breaker-breach" in line]
+        assert len(breaches) == 1
+        assert breaches[0].endswith("rack-0 (draw=648W > limit=490W)")
 
 
 class TestFailureRecoveryExperiment:
