@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test test-chaos test-safety test-control test-emergency test-power test-service test-health test-rollout lint bench bench-smoke clean-cache
+.PHONY: test test-chaos test-safety test-control test-emergency test-power test-service test-health test-rollout test-perfbench lint bench bench-smoke clean-cache
 
 test:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/ -q
@@ -105,6 +105,14 @@ test-rollout:
 		REPRO_TEST_TIMEOUT_S=$(CHAOS_TIMEOUT) \
 		PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest tests/test_rollout.py \
 		tests/test_envelope_rollout.py -q
+
+# Benchmark-harness self-tests (about 2 min): the metric catalog
+# matches BENCHMARK.json, stepping the Fig. 16 ramp one decision
+# interval at a time reproduces run_fig16_mode exactly, digests repeat
+# per seed, the service storm accounts for every request, the known
+# oversubscribe defect counts as failed, and tracing changes no output.
+test-perfbench:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest perfbench -q
 
 lint:
 	ruff check src tests benchmarks

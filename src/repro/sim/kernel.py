@@ -8,6 +8,13 @@ and periodic work with :meth:`Simulator.every`. The kernel guarantees:
 * events at equal timestamps fire in scheduling order (deterministic);
 * every run with the same seed and model is bit-for-bit reproducible.
 
+"Scheduling order" is the order of the calls that created the events.
+A model that keeps a live event instead of cancelling and re-creating
+it at the very same time keeps that event's original place: the
+processor-sharing VM does this when re-arming its completion would not
+move it (see ``ServerVM._reschedule``), so such a completion can fire
+before an event scheduled in between for the exact same float time.
+
 The kernel is intentionally synchronous and single-threaded — cloud
 control-plane experiments in this library simulate minutes-to-hours of
 wall time and complete in milliseconds of real time.
@@ -15,6 +22,8 @@ wall time and complete in milliseconds of real time.
 
 from __future__ import annotations
 
+import heapq
+import math
 from typing import Callable
 
 from ..errors import SimulationError
@@ -110,18 +119,14 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
     def step(self) -> bool:
-        """Execute the next event. Returns False when the queue is empty."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        if event.time < self._now:
-            raise SimulationError(
-                f"event {event.name!r} at {event.time} is in the past (now={self._now})"
-            )
-        self._now = event.time
-        self._event_count += 1
-        event.callback()
-        return True
+        """Execute the next event. Returns False when the queue is empty.
+
+        Like :meth:`run`, which it calls, it may not be called from an
+        event callback.
+        """
+        before = self._event_count
+        self.run(max_events=1)
+        return self._event_count > before
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run events until the queue empties, ``until`` passes, or
@@ -130,22 +135,36 @@ class Simulator:
         When ``until`` is given the clock is advanced to exactly ``until``
         at the end of the run even if the last event fired earlier, so
         time-based metrics integrate over the full horizon.
+
+        The loop reads the queue's heap directly, discarding cancelled
+        heads as they surface.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
+        heap = self._queue._heap
+        pop = heapq.heappop
+        horizon = math.inf if until is None else until
+        # ``executed`` counts up from 0, so a limit of -1 never stops it.
+        limit = -1 if max_events is None else max(0, max_events)
         executed = 0
         try:
-            while True:
-                if max_events is not None and executed >= max_events:
+            while heap and executed != limit:
+                time, _, event = heap[0]
+                if event.cancelled:
+                    pop(heap)
+                    continue
+                if time > horizon:
                     break
-                next_time = self._queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                self.step()
+                pop(heap)
+                if time < self._now:
+                    raise SimulationError(
+                        f"event {event.name!r} at {time} is in the past (now={self._now})"
+                    )
+                self._now = time
+                self._event_count += 1
                 executed += 1
+                event.callback()
             if until is not None and until > self._now:
                 self._now = until
         finally:

@@ -108,6 +108,7 @@ class OpenLoopSource:
         self._sink = sink
         self._rate = float(rate_per_second)
         self._stream = stream_name
+        self._burst_stream = f"{stream_name}:burst"
         self._deterministic = deterministic
         self._burst_mean = float(burst_mean)
         self._pending = None
@@ -129,16 +130,12 @@ class OpenLoopSource:
         """Re-program the arrival rate, effective immediately."""
         if rate_per_second < 0:
             raise SimulationError("arrival rate must be non-negative")
-        was_idle = self._rate == 0 or self._pending is None
         self._rate = float(rate_per_second)
         if self._pending is not None:
             self._pending.cancel()
             self._pending = None
         if self._rate > 0 and not self._stopped:
             self._schedule_next()
-        elif self._rate == 0:
-            self._pending = None
-        del was_idle  # rate changes always reschedule from 'now'
 
     def stop(self) -> None:
         """Permanently stop generating arrivals."""
@@ -162,7 +159,7 @@ class OpenLoopSource:
             return 1
         # Geometric on {1, 2, ...} with mean burst_mean.
         success = 1.0 / self._burst_mean
-        draw = self._simulator.streams.uniform(f"{self._stream}:burst", 0.0, 1.0)
+        draw = self._simulator.streams.uniform(self._burst_stream, 0.0, 1.0)
         return 1 + int(math.log(max(draw, 1e-12)) / math.log(1.0 - success))
 
     def _fire(self) -> None:

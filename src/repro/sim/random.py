@@ -56,6 +56,8 @@ class RandomStreams:
         self._streams: dict[str, np.random.Generator] = {}
         self._exp_buffers: dict[str, tuple[np.ndarray, int]] = {}
         self._normal_buffers: dict[str, tuple[np.ndarray, int]] = {}
+        #: ``(mu, sigma)`` of the underlying normal per ``(mean, cv)``.
+        self._lognormal_params: dict[tuple[float, float], tuple[float, float]] = {}
 
     @property
     def master_seed(self) -> int:
@@ -73,7 +75,7 @@ class RandomStreams:
             entry = (self.get(name).standard_exponential(_BATCH_SIZE), 0)
         buffer, index = entry
         self._exp_buffers[name] = (buffer, index + 1)
-        return float(buffer[index])
+        return buffer.item(index)
 
     def _standard_normal(self, name: str) -> float:
         entry = self._normal_buffers.get(name)
@@ -81,7 +83,7 @@ class RandomStreams:
             entry = (self.get(name).standard_normal(_BATCH_SIZE), 0)
         buffer, index = entry
         self._normal_buffers[name] = (buffer, index + 1)
-        return float(buffer[index])
+        return buffer.item(index)
 
     def exponential(self, name: str, mean: float) -> float:
         """Draw an exponential variate with the given mean."""
@@ -94,15 +96,19 @@ class RandomStreams:
         underlying normal parameters are solved so the *arithmetic* mean
         and CV match the request.
         """
-        if mean <= 0:
-            raise ValueError("lognormal mean must be positive")
-        if cv < 0:
-            raise ValueError("lognormal cv must be non-negative")
-        if cv == 0:
-            return mean
-        sigma2 = math.log(1.0 + cv * cv)
-        mu = math.log(mean) - sigma2 / 2.0
-        return math.exp(mu + math.sqrt(sigma2) * self._standard_normal(name))
+        params = self._lognormal_params.get((mean, cv))
+        if params is None:
+            if mean <= 0:
+                raise ValueError("lognormal mean must be positive")
+            if cv < 0:
+                raise ValueError("lognormal cv must be non-negative")
+            if cv == 0:
+                return mean
+            sigma2 = math.log(1.0 + cv * cv)
+            mu = math.log(mean) - sigma2 / 2.0
+            params = self._lognormal_params[mean, cv] = (mu, math.sqrt(sigma2))
+        mu, sigma = params
+        return math.exp(mu + sigma * self._standard_normal(name))
 
     def uniform(self, name: str, low: float, high: float) -> float:
         """Draw a uniform variate in ``[low, high)``."""

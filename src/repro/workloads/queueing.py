@@ -21,10 +21,10 @@ busy-seconds so the auto-scaler can sample real telemetry.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Callable
 
 from ..errors import ConfigurationError, WorkloadError
+from ..sim.events import Event
 from ..sim.kernel import Simulator
 from ..telemetry.counters import CoreCounters, CounterSnapshot
 from ..telemetry.percentiles import LatencyRecorder
@@ -50,18 +50,6 @@ DEFAULT_SERVICE_CV = 0.8
 DEFAULT_SCALABLE_FRACTION = 0.85
 
 
-@dataclass
-class _Job:
-    arrival_time: float
-    #: Virtual-clock reading at which this job completes.
-    target_virtual_time: float
-    #: Invoked as ``on_complete(completion_time, arrival_time)`` when the
-    #: job finishes — the live service's goodput/deadline accounting hook.
-    on_complete: Callable[[float, float], None] | None = field(
-        default=None, compare=False
-    )
-
-
 class ServerVM:
     """One VM of the client-server application.
 
@@ -77,7 +65,14 @@ class ServerVM:
     ``min(1, vcores/n) / slowdown(f)``; a virtual clock advances at that
     rate, each job completes when the clock passes
     ``arrival_reading + demand``, and a heap keyed on that target yields
-    the next completion in O(log n).
+    the next completion in O(log n). A job is the heap entry
+    ``(target_virtual_time, seq, arrival_time, on_complete)``, where
+    ``on_complete(completion_time, arrival_time)`` is the live service's
+    goodput/deadline hook (or None).
+
+    ``vcores``, ``base_frequency_ghz`` and ``scalable_fraction`` are
+    fixed at construction; only :meth:`set_frequency` changes the
+    slowdown.
     """
 
     def __init__(
@@ -109,13 +104,17 @@ class ServerVM:
         self._counters = CoreCounters()
         self._busy_seconds = 0.0
         self._completed = 0
-        # Processor-sharing state.
-        self._jobs: list[tuple[float, int, _Job]] = []  # heap on target vtime
+        self._slowdown = self._slowdown_at(base_frequency_ghz)
+        # Interned per-request strings.
+        self._service_stream = f"service:{name}"
+        self._completion_name = f"{name}:complete"
+        # Processor-sharing state. ``LoadBalancer`` keeps a reference to
+        # this list, so it is only ever mutated in place, never rebound.
+        self._jobs: list[tuple[float, int, float, Callable[[float, float], None] | None]] = []
         self._job_seq = 0
         self._virtual_time = 0.0
         self._last_advance = simulator.now
-        self._pending_completion = None
-        self._max_concurrency_seen = 0
+        self._pending_completion: Event | None = None
 
     # ------------------------------------------------------------------
     # Frequency control (the scale-up/down knob)
@@ -134,65 +133,75 @@ class ServerVM:
             return
         self._advance()
         self._frequency_ghz = frequency_ghz
+        self._slowdown = self._slowdown_at(frequency_ghz)
         self._reschedule()
 
-    def _slowdown(self) -> float:
-        """Service-time stretch at the current frequency (1.0 at base)."""
+    def _slowdown_at(self, frequency_ghz: float) -> float:
+        """Service-time stretch at ``frequency_ghz`` (1.0 at base)."""
         beta = self.scalable_fraction
-        ratio = self.base_frequency_ghz / self._frequency_ghz
+        ratio = self.base_frequency_ghz / frequency_ghz
         return beta * ratio + (1.0 - beta)
 
     # ------------------------------------------------------------------
     # Processor-sharing engine
     # ------------------------------------------------------------------
-    def _per_job_rate(self) -> float:
-        """Work depleted per second by each active job (0 when idle)."""
-        n = len(self._jobs)
-        if n == 0:
-            return 0.0
-        share = min(1.0, self.vcores / n)
-        return share / self._slowdown()
-
+    # Each active job depletes work at ``min(1.0, vcores / n) /
+    # slowdown`` per second; _advance and _reschedule compute that rate
+    # inline, with the same expression, on the per-request path.
     def _advance(self) -> None:
         """Integrate virtual time and telemetry up to the present."""
         now = self._sim.now
         span = now - self._last_advance
+        self._last_advance = now
         if span <= 0:
-            self._last_advance = now
             return
         n = len(self._jobs)
         if n > 0:
-            self._virtual_time += self._per_job_rate() * span
-            busy = min(n, self.vcores) * span
+            vcores = self.vcores
+            self._virtual_time += min(1.0, vcores / n) / self._slowdown * span
+            busy = min(n, vcores) * span
             self._busy_seconds += busy
             self._counters.accumulate(busy, self._frequency_ghz, self.scalable_fraction)
-        self._last_advance = now
 
     def _reschedule(self) -> None:
-        """(Re)arm the completion event for the job finishing next."""
-        if self._pending_completion is not None:
-            self._pending_completion.cancel()
-            self._pending_completion = None
-        if not self._jobs:
+        """(Re)arm the completion event for the job finishing next.
+
+        When the pending completion already fires at exactly the
+        recomputed time, it is kept instead of being cancelled and
+        pushed again. The kept event keeps its older sequence number, so
+        it can fire before an event scheduled in between for the exact
+        same float time; a re-armed one would fire after it.
+        """
+        jobs = self._jobs
+        pending = self._pending_completion
+        if not jobs:
+            if pending is not None:
+                pending.cancel()
+                self._pending_completion = None
             return
-        rate = self._per_job_rate()
-        target = self._jobs[0][0]
-        delay = max(0.0, (target - self._virtual_time) / rate)
-        self._pending_completion = self._sim.after(
-            delay, self._complete_next, name=f"{self.name}:complete"
-        )
+        rate = min(1.0, self.vcores / len(jobs)) / self._slowdown
+        delay = max(0.0, (jobs[0][0] - self._virtual_time) / rate)
+        sim = self._sim
+        # Simulator.after's firing time, bit for bit.
+        time = sim.now + delay
+        if pending is not None:
+            if pending.time == time:
+                return
+            pending.cancel()
+        self._pending_completion = sim.at(time, self._complete_next, self._completion_name)
 
     def _complete_next(self) -> None:
         self._pending_completion = None
         self._advance()
         if not self._jobs:
             return
-        _target, _seq, job = heapq.heappop(self._jobs)
+        _target, _seq, arrival_time, on_complete = heapq.heappop(self._jobs)
         self._completed += 1
+        now = self._sim.now
         if self._latency is not None:
-            self._latency.record(self._sim.now, self._sim.now - job.arrival_time)
-        if job.on_complete is not None:
-            job.on_complete(self._sim.now, job.arrival_time)
+            self._latency.record(now, now - arrival_time)
+        if on_complete is not None:
+            on_complete(now, arrival_time)
         self._reschedule()
 
     def submit(
@@ -213,16 +222,13 @@ class ServerVM:
             raise WorkloadError("demand_scale must be positive")
         self._advance()
         demand = demand_scale * self._sim.streams.lognormal(
-            f"service:{self.name}", self._service_mean, self._service_cv
-        )
-        job = _Job(
-            arrival_time=arrival_time,
-            target_virtual_time=self._virtual_time + demand,
-            on_complete=on_complete,
+            self._service_stream, self._service_mean, self._service_cv
         )
         self._job_seq += 1
-        heapq.heappush(self._jobs, (job.target_virtual_time, self._job_seq, job))
-        self._max_concurrency_seen = max(self._max_concurrency_seen, len(self._jobs))
+        heapq.heappush(
+            self._jobs,
+            (self._virtual_time + demand, self._job_seq, arrival_time, on_complete),
+        )
         self._reschedule()
 
     def drop_all_jobs(self) -> int:
@@ -280,6 +286,10 @@ class LoadBalancer:
 
     def __init__(self) -> None:
         self._vms: list[ServerVM] = []
+        # The attached VMs' job heaps, parallel to ``_vms``. Valid because
+        # a ServerVM never rebinds ``_jobs`` (drop_all_jobs clears it in
+        # place), so in_flight is one C-level sum per call.
+        self._job_heaps: list[list] = []
         self._next = 0
         self._dropped = 0
 
@@ -295,12 +305,15 @@ class LoadBalancer:
         if vm in self._vms:
             raise ConfigurationError(f"VM {vm.name!r} is already attached")
         self._vms.append(vm)
+        self._job_heaps.append(vm._jobs)
 
     def detach(self, vm: ServerVM) -> None:
         try:
-            self._vms.remove(vm)
+            index = self._vms.index(vm)
         except ValueError:
             raise ConfigurationError(f"VM {vm.name!r} is not attached") from None
+        del self._vms[index]
+        del self._job_heaps[index]
         if self._next >= len(self._vms):
             self._next = 0
 
@@ -322,7 +335,7 @@ class LoadBalancer:
     @property
     def in_flight(self) -> int:
         """Requests currently in service across every attached VM."""
-        return sum(vm.in_flight for vm in self._vms)
+        return sum(map(len, self._job_heaps))
 
 
 __all__ = [

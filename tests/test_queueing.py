@@ -1,9 +1,11 @@
 """Tests for the processor-sharing server VM and load balancer."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, WorkloadError
-from repro.sim import OpenLoopSource, Simulator
+from repro.sim import EventQueue, OpenLoopSource, Simulator
 from repro.telemetry import LatencyRecorder
 from repro.workloads import DEFAULT_SERVICE_MEAN_S, LoadBalancer, ServerVM
 
@@ -94,6 +96,60 @@ class TestServerVM:
         vm, _, _ = run_vm(qps=2000, seconds=30.0)  # capacity ~950 QPS
         assert vm.in_flight > 100
 
+    def test_unmoved_completion_is_kept_and_fires_once(self, monkeypatch):
+        """A second job that leaves the head's finish time exactly where
+        it was keeps the pending completion instead of re-arming it."""
+        pushes = []
+        push = EventQueue.push
+
+        def counting_push(queue, time, callback, name=""):
+            pushes.append((time, name))
+            return push(queue, time, callback, name)
+
+        monkeypatch.setattr(EventQueue, "push", counting_push)
+        simulator = Simulator()
+        vm = ServerVM(
+            simulator, "vm", vcores=2, service_mean_s=1.0, service_cv=0.0,
+            scalable_fraction=1.0,
+        )
+        done = []
+
+        def record(completion, arrival):
+            done.append((completion, arrival))
+
+        simulator.at(0.0, lambda: vm.submit(0.0, on_complete=record))
+        simulator.at(
+            0.5, lambda: vm.submit(0.5, demand_scale=4.0, on_complete=record)
+        )
+        simulator.run(until=0.75)
+        completions = [time for time, name in pushes if name == "vm:complete"]
+        assert completions == [1.0]
+        simulator.run()
+        assert done == [(1.0, 0.0), (4.5, 0.5)]
+        completions = [time for time, name in pushes if name == "vm:complete"]
+        assert completions == [1.0, 4.5]
+        assert vm.completed_requests == 2
+        assert vm.in_flight == 0
+
+    def test_moved_completion_is_rearmed(self):
+        """Past vcores, a new job slows the head, so its completion moves."""
+        simulator = Simulator()
+        vm = ServerVM(
+            simulator, "vm", vcores=1, service_mean_s=1.0, service_cv=0.0,
+            scalable_fraction=1.0,
+        )
+        done = []
+        simulator.at(0.0, lambda: vm.submit(0.0, on_complete=lambda c, a: done.append(c)))
+        simulator.at(
+            0.5,
+            lambda: vm.submit(0.5, demand_scale=4.0, on_complete=lambda c, a: done.append(c)),
+        )
+        simulator.run()
+        # Head: 0.5 s alone, then 0.5 s of work at half rate; the rest of
+        # the second job's work then runs alone.
+        assert done == [1.5, 5.0]
+        assert simulator.pending_events == 0
+
     def test_validation(self):
         simulator = Simulator()
         with pytest.raises(ConfigurationError):
@@ -148,3 +204,35 @@ class TestLoadBalancer:
         balancer.detach(vm)
         with pytest.raises(ConfigurationError):
             balancer.detach(vm)
+
+
+#: One step of the balancer property test: (operation, VM index, value).
+_balancer_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["attach", "detach", "route", "drop", "run"]),
+        st.integers(min_value=0, max_value=3),
+        st.floats(min_value=0.0, max_value=0.05),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_balancer_ops)
+def test_balancer_in_flight_matches_attached_vms(ops):
+    simulator = Simulator(seed=11)
+    balancer = LoadBalancer()
+    vms = [ServerVM(simulator, f"vm{i}", vcores=1 + i % 2) for i in range(4)]
+    for op, index, value in ops:
+        vm = vms[index]
+        if op == "attach" and vm not in balancer.vms:
+            balancer.attach(vm)
+        elif op == "detach" and vm in balancer.vms:
+            balancer.detach(vm)
+        elif op == "route":
+            balancer.route(simulator.now)
+        elif op == "drop":
+            vm.drop_all_jobs()
+        elif op == "run":
+            simulator.run(until=simulator.now + value)
+        assert balancer.in_flight == sum(vm.in_flight for vm in balancer.vms)

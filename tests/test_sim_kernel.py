@@ -125,6 +125,51 @@ class TestSimulator:
         sim.run(max_events=4)
         assert sim.processed_events == 4
 
+    def test_max_events_zero_runs_nothing(self):
+        sim = Simulator()
+        fired = []
+        sim.at(1.0, lambda: fired.append(1))
+        sim.run(max_events=0)
+        assert fired == []
+        assert sim.processed_events == 0
+        assert sim.now == 0.0
+        assert sim.pending_events == 1
+
+    def test_cancelled_head_past_until_neither_fires_nor_blocks(self):
+        sim = Simulator()
+        fired = []
+        sim.at(150.0, lambda: fired.append("cancelled")).cancel()
+        sim.at(160.0, lambda: fired.append(sim.now))
+        sim.run(until=155.0)
+        assert fired == []
+        assert sim.now == 155.0
+        sim.run(until=170.0)
+        assert fired == [160.0]
+        assert sim.now == 170.0
+        assert sim.processed_events == 1
+
+    def test_step_runs_one_live_event(self):
+        sim = Simulator()
+        fired = []
+        sim.at(1.0, lambda: fired.append(1)).cancel()
+        sim.at(2.0, lambda: fired.append(2))
+        sim.at(3.0, lambda: fired.append(3))
+        assert sim.step()
+        assert fired == [2]
+        assert sim.now == 2.0
+        assert sim.step()
+        assert not sim.step()
+        assert fired == [2, 3]
+        assert sim.processed_events == 2
+
+    def test_event_in_the_past_is_rejected(self):
+        sim = Simulator()
+        sim.at(10.0, lambda: None)
+        sim.run()
+        sim._queue.push(5.0, lambda: None)  # bypasses Simulator.at's check
+        with pytest.raises(SimulationError):
+            sim.run()
+
     def test_reset_clears_state(self):
         sim = Simulator()
         sim.at(5.0, lambda: None)
